@@ -43,16 +43,6 @@ class FailReason(enum.Enum):
     REG_PRESSURE = "register requirements exceed the local file"
     WINDOW = "dependence window empty"
 
-    def record(self, log: FailureLog) -> None:
-        if self is FailReason.NO_FU:
-            log.no_fu += 1
-        elif self is FailReason.NO_BUS:
-            log.no_bus += 1
-        elif self is FailReason.REG_PRESSURE:
-            log.register_pressure += 1
-        else:
-            log.dependence_window += 1
-
 
 @dataclass
 class Placement:
@@ -82,6 +72,9 @@ class PlacementEngine:
         self.fail = FailureLog()
         self._timings = compute_timings(graph, ii)
         self._bus_latency = config.buses.latency
+        self._bus_full = (1 << config.buses.count) - 1
+        #: No bus, or transfers longer than II: no fresh transfer can fit.
+        self._no_fresh_transfer = config.buses.count == 0 or config.buses.latency > ii
         self._pressure = PressureTracker(self.schedule)
         #: node -> (scheduled preds, scheduled succs), the dependence
         #: window inputs; entries are dropped for a committed node's
@@ -190,21 +183,6 @@ class PlacementEngine:
     # ------------------------------------------------------------------
     # Communication planning
     # ------------------------------------------------------------------
-    def _bus_free_with(
-        self, start_cycle: int, pending: list[NewTransfer]
-    ) -> int | None:
-        """A free bus for a transfer at *start_cycle*, also avoiding *pending*."""
-        if self.config.buses.count == 0 or self._bus_latency > self.ii:
-            return None
-        mrt = self.mrt
-        pending_mask = 0
-        if pending:
-            rows = mrt.bus_rows_mask(start_cycle)
-            for t in pending:
-                if rows & mrt.bus_rows_mask(t.start_cycle):
-                    pending_mask |= 1 << t.bus
-        return mrt.bus_free(start_cycle, pending_mask)
-
     def _plan_transfer(
         self,
         producer: int,
@@ -225,7 +203,7 @@ class PlacementEngine:
         latbus = self._bus_latency
         # Reuse a committed transfer.
         for comm in self.schedule.comms_for(producer):
-            if comm.arrival(latbus) <= deadline and comm.start_cycle >= ready:
+            if ready <= comm.start_cycle <= deadline - latbus:
                 if reader in comm.readers or any(
                     a.existing is comm and a.reader == reader
                     for a in plan.added_readers
@@ -234,7 +212,7 @@ class PlacementEngine:
                 plan.added_readers.append(AddReader(existing=comm, reader=reader))
                 return True
         # Reuse a transfer planned earlier in this same placement.
-        for idx, t in enumerate(plan.new_transfers):
+        for t in plan.new_transfers:
             if (
                 t.producer == producer
                 and t.start_cycle >= ready
@@ -245,19 +223,30 @@ class PlacementEngine:
                         AddReader(existing=t.as_communication(), reader=reader)
                     )
                 return True
-        # A fresh transfer.
+        # A fresh transfer: the first start cycle with a bus free in all
+        # its rows, both in the MRT and among this plan's pending transfers.
+        ii = self.ii
         last_start = deadline - latbus
-        if last_start < ready:
+        if last_start < ready or self._no_fresh_transfer:
             return False
-        stop = min(last_start, ready + self.ii - 1)
-        for start in range(ready, stop + 1):
-            bus = self._bus_free_with(start, plan.new_transfers)
-            if bus is not None:
+        mrt = self.mrt
+        start_busy = mrt.start_busy
+        full = self._bus_full
+        pending = plan.new_transfers
+        for start in range(ready, min(last_start, ready + ii - 1) + 1):
+            busy = start_busy[start % ii]
+            if pending:
+                rows = mrt.bus_rows_mask(start)
+                for t in pending:
+                    if rows & mrt.bus_rows_mask(t.start_cycle):
+                        busy |= 1 << t.bus
+            free = ~busy & full
+            if free:
                 plan.new_transfers.append(
                     NewTransfer(
                         producer=producer,
                         src_cluster=src_cluster,
-                        bus=bus,
+                        bus=(free & -free).bit_length() - 1,
                         start_cycle=start,
                         reader=reader,
                     )
@@ -327,30 +316,35 @@ class PlacementEngine:
             self.fail.dependence_window += 1
             return FailReason.WINDOW
 
-        worst = FailReason.WINDOW
         grid = self.mrt.fu_grid(cluster, op.fu_class)
         masks, full, ii = grid.masks, grid.full, self.ii
+        no_fu = no_bus = no_reg = 0
+        found: Placement | None = None
         for cycle in candidates:
             if masks[cycle % ii] == full:  # no free functional unit
-                self.fail.no_fu += 1
-                worst = _worse(worst, FailReason.NO_FU)
+                no_fu += 1
                 continue
             plan = self._plan_comms(node, cluster, cycle)
             if plan is None:
-                self.fail.no_bus += 1
-                worst = _worse(worst, FailReason.NO_BUS)
+                no_bus += 1
                 continue
-            if not self._pressure_ok(node, cluster, cycle, plan):
-                self.fail.register_pressure += 1
-                worst = _worse(worst, FailReason.REG_PRESSURE)
+            if not self._pressure.placement_fits(node, cluster, cycle, plan):
+                no_reg += 1
                 continue
-            return Placement(node=node, cluster=cluster, cycle=cycle, comm_plan=plan)
-        return worst
-
-    def _pressure_ok(
-        self, node: int, cluster: int, cycle: int, plan: CommPlan
-    ) -> bool:
-        return self._pressure.placement_fits(node, cluster, cycle, plan)
+            found = Placement(node=node, cluster=cluster, cycle=cycle, comm_plan=plan)
+            break
+        fail = self.fail
+        fail.no_fu += no_fu
+        fail.no_bus += no_bus
+        fail.register_pressure += no_reg
+        if found is not None:
+            return found
+        # The most informative reason seen: NO_BUS > REG_PRESSURE > NO_FU.
+        if no_bus:
+            return FailReason.NO_BUS
+        if no_reg:
+            return FailReason.REG_PRESSURE
+        return FailReason.NO_FU  # every candidate's FU row was full
 
     def placement_pressure(self, placement: Placement) -> int:
         """MaxLive of the placement's cluster if it were committed."""
@@ -428,14 +422,3 @@ class PlacementEngine:
             sched._rebuild_comm_index()
         sched.bus_utilisation = self.mrt.bus_utilisation()
         return sched
-
-
-def _worse(current: FailReason, new: FailReason) -> FailReason:
-    """Keep the more informative of two failure reasons."""
-    priority = {
-        FailReason.WINDOW: 0,
-        FailReason.NO_FU: 1,
-        FailReason.REG_PRESSURE: 2,
-        FailReason.NO_BUS: 3,
-    }
-    return new if priority[new] >= priority[current] else current

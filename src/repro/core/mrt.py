@@ -12,7 +12,11 @@ An MRT has II rows; resource usage at absolute cycle *t* occupies row
 Occupancy is stored twice: a per-row *bitmask* (bit ``c`` set = column
 ``c`` occupied) that makes the hot-path queries ``fu_slot_free`` /
 ``bus_free`` O(1) mask tests, and an owner map used only for release
-checking and diagnostics (``fu_owner``, conflict messages).
+checking and diagnostics (``fu_owner``, conflict messages).  The bus table
+also caches, per *start* row, the OR of the row masks a transfer starting
+there would occupy (``start_busy``), refreshed on every bus occupy/release,
+so a transfer's free buses are one list read instead of a ``latbus``-row
+scan.
 """
 
 from __future__ import annotations
@@ -105,6 +109,9 @@ class ReservationTable:
         self._bus_row_masks: list[int] = [
             sum(1 << row for row in set(rows)) for rows in self._bus_rows
         ]
+        #: start_busy[r]: buses busy in some row of a transfer starting at
+        #: row r (the OR of the row masks in ``_bus_rows[r]``).
+        self.start_busy: list[int] = [0] * ii
 
     # -- functional units -------------------------------------------------
     def fu_grid(self, cluster: int, fu_class: FuClass) -> _Grid:
@@ -153,11 +160,7 @@ class ReservationTable:
 
     def bus_occupancy(self, start_cycle: int) -> int:
         """Buses busy during some row of a transfer at *start_cycle*."""
-        masks = self._bus.masks
-        combined = 0
-        for r in self._bus_rows[start_cycle % self.ii]:
-            combined |= masks[r]
-        return combined
+        return self.start_busy[start_cycle % self.ii]
 
     def bus_free(self, start_cycle: int, busy_mask: int = 0) -> int | None:
         """A bus free for a transfer starting at *start_cycle*, else None.
@@ -171,18 +174,38 @@ class ReservationTable:
             return None
         if self.config.buses.latency > self.ii:
             return None
-        free = ~(self.bus_occupancy(start_cycle) | busy_mask) & self._bus.full
+        free = ~(self.start_busy[start_cycle % self.ii] | busy_mask) & self._bus.full
         if not free:
             return None
         return (free & -free).bit_length() - 1
 
     def occupy_bus(self, start_cycle: int, bus: int, owner: object) -> None:
-        for r in self.bus_rows(start_cycle):
-            self._bus.occupy(r, bus, owner)
+        rows = self.bus_rows(start_cycle)
+        try:
+            for r in rows:
+                self._bus.occupy(r, bus, owner)
+        finally:
+            self._refresh_starts(rows)
 
     def release_bus(self, start_cycle: int, bus: int, owner: object) -> None:
-        for r in self.bus_rows(start_cycle):
-            self._bus.release(r, bus, owner)
+        rows = self.bus_rows(start_cycle)
+        try:
+            for r in rows:
+                self._bus.release(r, bus, owner)
+        finally:
+            self._refresh_starts(rows)
+
+    def _refresh_starts(self, rows: list[int]) -> None:
+        """Recompute ``start_busy`` for every start row whose transfer
+        window covers one of *rows* (start s covers s .. s+lat-1)."""
+        ii = self.ii
+        span = len(self._bus_rows[0])
+        masks = self._bus.masks
+        for s in {(r - k) % ii for r in set(rows) for k in range(span)}:
+            busy = 0
+            for r in self._bus_rows[s]:
+                busy |= masks[r]
+            self.start_busy[s] = busy
 
     # -- statistics ----------------------------------------------------------
     def bus_utilisation(self) -> float:

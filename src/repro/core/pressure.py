@@ -21,10 +21,10 @@ therefore *exactly* equal to a from-scratch recomputation, not an
 approximation — schedules are byte-identical with and without tracking.
 
 The unit of bookkeeping is an *entry*: either the produced-value interval
-of one node (``("p", node)``) or the stored-incoming-value interval of
-one (communication, reader cluster) pair (``("i", (producer, bus, start),
-reader)``).  A placement changes a small, statically enumerable set of
-entries (:meth:`PressureTracker._changed_entries`), which is what makes
+of one node (keyed by the node id) or the stored-incoming-value interval
+of one (communication, reader cluster) pair (keyed by ``(producer, bus,
+start, reader)``).  A placement changes a small, statically enumerable set
+of entries (:meth:`PressureTracker._changed_entries`), which is what makes
 the delta evaluation sound:
 
 * a produced interval ends at the last same-cluster read or communication
@@ -39,6 +39,9 @@ the delta evaluation sound:
 
 from __future__ import annotations
 
+from operator import add
+
+from ..ir.ddg import DependenceGraph
 from .comm import CommPlan, empty_plan
 from .schedule import ModuloSchedule, ScheduledOp
 
@@ -64,7 +67,10 @@ class PressureTracker:
         self._base: list[int] = [0] * self.n_clusters
         self._max: list[int] = [0] * self.n_clusters
         self._dirty: list[bool] = [False] * self.n_clusters
-        self._entries: dict[tuple, Interval] = {}
+        self._entries: dict[int | tuple, Interval] = {}
+        self._result_latency, self._consumers = self.graph.derived(
+            "pressure_flows", lambda: _flow_tables(self.graph)
+        )
         if schedule.ops or schedule.comms:
             self.rebuild()
 
@@ -79,26 +85,27 @@ class PressureTracker:
         placed = ops.get(node)
         if placed is None:
             return None
-        op = self.graph.operation(node)
-        if not op.writes_register:
+        latency = self._result_latency[node]
+        if latency is None:
             return None
         ii = self.ii
-        written = placed.cycle + op.latency
+        cluster = placed.cluster
+        written = placed.cycle + latency
         last_read = written  # the write occupies the register >= 1 cycle
-        for dep in self.graph.flow_consumers(node):
-            consumer = ops.get(dep.dst)
-            if consumer is None or consumer.cluster != placed.cluster:
-                continue  # remote consumers read the communicated copy
-            read = consumer.cycle + ii * dep.distance
-            if read > last_read:
-                last_read = read
+        for dst, distance in self._consumers[node]:
+            consumer = ops.get(dst)
+            # Remote consumers read the communicated copy.
+            if consumer is not None and consumer.cluster == cluster:
+                read = consumer.cycle + ii * distance
+                if read > last_read:
+                    last_read = read
         for comm in self.schedule.comms_for(node):
             if comm.start_cycle > last_read:
                 last_read = comm.start_cycle
         for start in extra_starts:
             if start > last_read:
                 last_read = start
-        return (placed.cluster, written, last_read + 1)
+        return (cluster, written, last_read + 1)
 
     def _incoming_interval(
         self, producer: int, start_cycle: int, reader: int
@@ -108,11 +115,11 @@ class PressureTracker:
         ii = self.ii
         arrival = start_cycle + self._bus_latency
         last_late_read: int | None = None
-        for dep in self.graph.flow_consumers(producer):
-            consumer = ops.get(dep.dst)
+        for dst, distance in self._consumers[producer]:
+            consumer = ops.get(dst)
             if consumer is None or consumer.cluster != reader:
                 continue
-            read = consumer.cycle + ii * dep.distance
+            read = consumer.cycle + ii * distance
             if read > arrival and (last_late_read is None or read > last_late_read):
                 last_late_read = read
         if last_late_read is None:
@@ -122,29 +129,17 @@ class PressureTracker:
     # ------------------------------------------------------------------
     # Histogram maintenance
     # ------------------------------------------------------------------
-    def _apply(self, interval: Interval, sign: int) -> None:
-        cluster, start, end = interval
-        ii = self.ii
-        fulls, rem = divmod(end - start, ii)
-        self._base[cluster] += sign * fulls
-        if rem:
-            hist = self._hist[cluster]
-            row = start % ii
-            for _ in range(rem):
-                hist[row] += sign
-                row += 1
-                if row == ii:
-                    row = 0
-        self._dirty[cluster] = True
-
-    def _set(self, key: tuple, interval: Interval | None) -> None:
+    def _set(self, key: int | tuple, interval: Interval | None) -> None:
         old = self._entries.get(key)
         if old == interval:
             return
-        if old is not None:
-            self._apply(old, -1)
+        ii = self.ii
+        for cluster, start, end, sign in _delta_pieces(old, interval):
+            self._base[cluster] += sign * _cover(
+                self._hist[cluster], start, end, sign, ii
+            )
+            self._dirty[cluster] = True
         if interval is not None:
-            self._apply(interval, +1)
             self._entries[key] = interval
         else:
             del self._entries[key]
@@ -165,14 +160,14 @@ class PressureTracker:
     # ------------------------------------------------------------------
     def _changed_entries(
         self, node: int, cluster: int, plan: CommPlan
-    ) -> dict[tuple, Interval | None]:
+    ) -> dict[int | tuple, Interval | None]:
         """Recompute every entry the placement can affect.
 
         Must be called with *node* present in ``schedule.ops``; plan
         transfers are overlaid (they are not committed yet).
         """
-        graph = self.graph
         ops = self.schedule.ops
+        flow_producers = self.graph.flow_producers(node)
         extra_starts: dict[int, list[int]] = {}
         for t in plan.new_transfers:
             extra_starts.setdefault(t.producer, []).append(t.start_cycle)
@@ -180,33 +175,31 @@ class PressureTracker:
         # start cycle already bounds the producer interval, so they add
         # no extra start.
 
-        changed: dict[tuple, Interval | None] = {}
+        changed: dict[int | tuple, Interval | None] = {}
         producers = {node}
-        for dep in graph.flow_producers(node):
+        for dep in flow_producers:
             placed = ops.get(dep.src)
             if placed is not None and placed.cluster == cluster:
                 producers.add(dep.src)
         producers.update(extra_starts)
         for u in producers:
-            changed[("p", u)] = self._producer_interval(
-                u, extra_starts.get(u, ())
-            )
+            changed[u] = self._producer_interval(u, extra_starts.get(u, ()))
         # Incoming values this node reads late in its cluster: committed
         # transfers of its producers that already deliver to `cluster`.
-        for dep in graph.flow_producers(node):
+        for dep in flow_producers:
             for comm in self.schedule.comms_for(dep.src):
                 if cluster in comm.readers:
-                    key = ("i", (comm.producer, comm.bus, comm.start_cycle), cluster)
+                    key = (comm.producer, comm.bus, comm.start_cycle, cluster)
                     changed[key] = self._incoming_interval(
                         comm.producer, comm.start_cycle, cluster
                     )
         # Transfers the plan would create, and readers it would add.
         for t in plan.new_transfers:
-            key = ("i", (t.producer, t.bus, t.start_cycle), t.reader)
+            key = (t.producer, t.bus, t.start_cycle, t.reader)
             changed[key] = self._incoming_interval(t.producer, t.start_cycle, t.reader)
         for a in plan.added_readers:
             e = a.existing
-            key = ("i", (e.producer, e.bus, e.start_cycle), a.reader)
+            key = (e.producer, e.bus, e.start_cycle, a.reader)
             changed[key] = self._incoming_interval(e.producer, e.start_cycle, a.reader)
         return changed
 
@@ -220,40 +213,28 @@ class PressureTracker:
         untouched clusters keep :meth:`cluster_max`.
         """
         ops = self.schedule.ops
-        ops[node] = ScheduledOp(node, cycle, cluster, fu_index=-1)
+        ops[node] = ScheduledOp(node, cycle, cluster, -1)
         try:
             changed = self._changed_entries(node, cluster, plan)
         finally:
             del ops[node]
 
+        entries = self._entries
         deltas: dict[int, list[tuple[int, int, int]]] = {}
         for key, new_iv in changed.items():
-            old_iv = self._entries.get(key)
-            if old_iv == new_iv:
-                continue
-            if old_iv is not None:
-                deltas.setdefault(old_iv[0], []).append((old_iv[1], old_iv[2], -1))
-            if new_iv is not None:
-                deltas.setdefault(new_iv[0], []).append((new_iv[1], new_iv[2], +1))
+            old_iv = entries.get(key)
+            if old_iv != new_iv:
+                for c, start, end, sign in _delta_pieces(old_iv, new_iv):
+                    deltas.setdefault(c, []).append((start, end, sign))
 
         ii = self.ii
         result: dict[int, int] = {}
-        for c, intervals in deltas.items():
+        for c, pieces in deltas.items():
             base = self._base[c]
             diff = [0] * ii
-            for start, end, sign in intervals:
-                fulls, rem = divmod(end - start, ii)
-                base += sign * fulls
-                row = start % ii
-                for _ in range(rem):
-                    diff[row] += sign
-                    row += 1
-                    if row == ii:
-                        row = 0
-            hist = self._hist[c]
-            result[c] = base + max(
-                h + d for h, d in zip(hist, diff)
-            )
+            for start, end, sign in pieces:
+                base += sign * _cover(diff, start, end, sign, ii)
+            result[c] = base + max(map(add, self._hist[c], diff))
         return result
 
     def placement_fits(self, node: int, cluster: int, cycle: int, plan: CommPlan) -> bool:
@@ -287,12 +268,12 @@ class PressureTracker:
         # _changed_entries overlays nothing here, but must still visit the
         # plan's entries — enumerate them from the committed comms.
         for t in plan.new_transfers:
-            changed[("p", t.producer)] = self._producer_interval(t.producer)
-            key = ("i", (t.producer, t.bus, t.start_cycle), t.reader)
+            changed[t.producer] = self._producer_interval(t.producer)
+            key = (t.producer, t.bus, t.start_cycle, t.reader)
             changed[key] = self._incoming_interval(t.producer, t.start_cycle, t.reader)
         for a in plan.added_readers:
             e = a.existing
-            key = ("i", (e.producer, e.bus, e.start_cycle), a.reader)
+            key = (e.producer, e.bus, e.start_cycle, a.reader)
             changed[key] = self._incoming_interval(e.producer, e.start_cycle, a.reader)
         for key, interval in changed.items():
             self._set(key, interval)
@@ -315,10 +296,66 @@ class PressureTracker:
         self._entries = {}
         sched = self.schedule
         for node in sched.ops:
-            self._set(("p", node), self._producer_interval(node))
+            self._set(node, self._producer_interval(node))
         for comm in sched.comms:
             for reader in comm.readers:
-                key = ("i", (comm.producer, comm.bus, comm.start_cycle), reader)
+                key = (comm.producer, comm.bus, comm.start_cycle, reader)
                 self._set(
                     key, self._incoming_interval(comm.producer, comm.start_cycle, reader)
                 )
+
+
+def _cover(rows: list[int], start: int, end: int, sign: int, ii: int) -> int:
+    """Add *sign* to the rows of ``[start, end)`` left over after whole
+    wraps of II; returns the number of whole wraps (which cover every row
+    once each and so belong to the scalar base)."""
+    fulls, rem = divmod(end - start, ii)
+    row = start % ii
+    stop = row + rem
+    if stop <= ii:
+        for r in range(row, stop):
+            rows[r] += sign
+    else:
+        for r in range(row, ii):
+            rows[r] += sign
+        for r in range(stop - ii):
+            rows[r] += sign
+    return fulls
+
+
+def _delta_pieces(
+    old: Interval | None, new: Interval | None
+) -> tuple[tuple[int, int, int, int], ...]:
+    """Signed ``(cluster, start, end, sign)`` pieces whose row coverage
+    sums to that of *new* minus that of *old*.
+
+    An entry that changes usually keeps its register and start and only
+    moves its end (a new late read or transfer extends a live range), so
+    the difference is the short stretch between the two ends rather than
+    both whole intervals.
+    """
+    if old is None:
+        return ((*new, 1),)
+    if new is None:
+        return ((*old, -1),)
+    cluster, start, old_end = old
+    if new[0] == cluster and new[1] == start:
+        new_end = new[2]
+        if new_end > old_end:
+            return ((cluster, old_end, new_end, 1),)
+        return ((cluster, new_end, old_end, -1),)
+    return ((*old, -1), (*new, 1))
+
+
+def _flow_tables(graph: DependenceGraph) -> tuple[dict, dict]:
+    """Per-node ``(result_latency, consumers)`` of *graph*: the latency of
+    a node that writes a register (None otherwise) and its flow consumers
+    as ``(consumer, distance)`` pairs — what the interval recomputation
+    reads, without per-call graph lookups."""
+    result_latency = {}
+    consumers = {}
+    for op in graph.operations():
+        node = op.node_id
+        result_latency[node] = op.latency if op.writes_register else None
+        consumers[node] = tuple((d.dst, d.distance) for d in graph.flow_consumers(node))
+    return result_latency, consumers

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.arch.configs import two_cluster_config, unified_config
+from repro.core.comm import empty_plan
 from repro.core.engine import FailReason, Placement, PlacementEngine
 from repro.core.schedule import ScheduledOp
 from repro.ir.ddg import DependenceGraph
@@ -116,6 +117,60 @@ class TestPlacementSearch:
         g.add_dependence(a, a, distance=1)
         with pytest.raises(GraphError, match="diverged"):
             engine_for(g, unified_config(), ii=2)
+
+
+class TestFailReasonPriority:
+    """A failed probe reports the most informative reason it saw —
+    NO_BUS > REG_PRESSURE > NO_FU > WINDOW — whatever the order of the
+    candidate cycles, and counts every failed candidate in the log."""
+
+    @pytest.mark.parametrize(
+        "outcomes, expected",
+        [
+            (("fu",), FailReason.NO_FU),
+            (("fu", "fu"), FailReason.NO_FU),
+            (("reg",), FailReason.REG_PRESSURE),
+            (("bus",), FailReason.NO_BUS),
+            (("fu", "bus"), FailReason.NO_BUS),
+            (("bus", "fu"), FailReason.NO_BUS),
+            (("fu", "reg"), FailReason.REG_PRESSURE),
+            (("reg", "fu", "fu"), FailReason.REG_PRESSURE),
+            (("reg", "bus"), FailReason.NO_BUS),
+            (("bus", "reg", "fu"), FailReason.NO_BUS),
+            ((), FailReason.WINDOW),
+            (("fu", "bus", "reg", "ok"), Placement),
+        ],
+    )
+    def test_priority_and_counts(self, outcomes, expected, monkeypatch):
+        g = DependenceGraph()
+        node = g.add_operation("fadd")
+        eng = engine_for(g, two_cluster_config(), ii=max(1, len(outcomes)))
+        cycles = list(range(len(outcomes)))
+        monkeypatch.setattr(eng, "_candidate_cycles", lambda n, c: cycles)
+        grid = eng.mrt.fu_grid(0, g.operation(node).fu_class)
+        for cycle, outcome in zip(cycles, outcomes):
+            if outcome == "fu":
+                for unit in range(grid.cols):
+                    grid.occupy(cycle, unit, f"filler{unit}")
+        monkeypatch.setattr(
+            eng,
+            "_plan_comms",
+            lambda n, c, cycle: None if outcomes[cycle] == "bus" else empty_plan(),
+        )
+        monkeypatch.setattr(
+            eng._pressure,
+            "placement_fits",
+            lambda n, c, cycle, plan: outcomes[cycle] != "reg",
+        )
+        result = eng.find_placement(node, 0)
+        if expected is Placement:
+            assert isinstance(result, Placement) and result.cycle == len(outcomes) - 1
+        else:
+            assert result is expected
+        assert eng.fail.no_fu == outcomes.count("fu")
+        assert eng.fail.no_bus == outcomes.count("bus")
+        assert eng.fail.register_pressure == outcomes.count("reg")
+        assert eng.fail.dependence_window == (1 if not outcomes else 0)
 
 
 class TestCommPlanning:

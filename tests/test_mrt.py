@@ -1,5 +1,7 @@
 """Unit tests for the modulo reservation table."""
 
+import random
+
 import pytest
 
 from repro.arch.configs import four_cluster_config, two_cluster_config, unified_config
@@ -113,3 +115,69 @@ class TestUtilisation:
         mrt.occupy_fu(0, FuClass.FP, 0, "b")
         mrt.occupy_fu(1, FuClass.MEM, 0, "c")
         assert mrt.fu_utilisation() == pytest.approx(3 / 12)
+
+
+def _scratch_start_busy(mrt, start):
+    """Buses busy in some row of a transfer at *start*, from the row masks."""
+    busy = 0
+    for row in mrt.bus_rows(start):
+        busy |= mrt._bus.masks[row]
+    return busy
+
+
+def _check_start_cache(mrt, rng):
+    ii, full = mrt.ii, mrt._bus.full
+    for start in range(-ii, 2 * ii):
+        busy = _scratch_start_busy(mrt, start)
+        assert mrt.start_busy[start % ii] == busy
+        assert mrt.bus_occupancy(start) == busy
+        extra = rng.randrange(full + 1)
+        free = ~(busy | extra) & full
+        if mrt.config.buses.latency > ii or not free:
+            expected = None
+        else:
+            expected = (free & -free).bit_length() - 1
+        assert mrt.bus_free(start, extra) == expected
+
+
+class TestStartRowCache:
+    """The cached start-row occupancy always equals a from-scratch OR of the
+    bus row masks, over random occupy/release sequences."""
+
+    @pytest.mark.parametrize("ii", range(1, 9))
+    @pytest.mark.parametrize("latency", [1, 2, 3, 4])
+    @pytest.mark.parametrize("buses", [1, 2])
+    def test_random_occupy_release(self, ii, latency, buses):
+        rng = random.Random(ii * 100 + latency * 10 + buses)
+        cfg = two_cluster_config(n_buses=buses, bus_latency=latency)
+        mrt = ReservationTable(cfg, ii)
+        live: list[tuple[int, int, str]] = []
+        _check_start_cache(mrt, rng)
+        for step in range(60):
+            if live and rng.random() < 0.4:
+                start, bus, owner = live.pop(rng.randrange(len(live)))
+                mrt.release_bus(start, bus, owner)
+            else:
+                start = rng.randrange(-2 * ii, 3 * ii)
+                bus = mrt.bus_free(start)
+                if bus is None:
+                    bus = rng.randrange(buses)
+                owner = f"t{step}"
+                try:
+                    mrt.occupy_bus(start, bus, owner)
+                except SchedulingError:
+                    # A conflict (always, for latency > II) may leave some
+                    # rows claimed; the cache must still follow the masks.
+                    assert latency > ii or _scratch_start_busy(mrt, start)
+                else:
+                    live.append((start, bus, owner))
+            _check_start_cache(mrt, rng)
+
+    def test_release_frees_only_the_overlapping_starts(self):
+        mrt = ReservationTable(two_cluster_config(n_buses=1, bus_latency=2), ii=6)
+        mrt.occupy_bus(2, 0, "a")
+        mrt.occupy_bus(4, 0, "b")
+        # start s needs rows s and s+1: only start 0 (rows 0, 1) is free
+        assert [mrt.bus_free(s) for s in range(6)] == [0, None, None, None, None, None]
+        mrt.release_bus(2, 0, "a")
+        assert [mrt.bus_free(s) for s in range(6)] == [0, 0, 0, None, None, None]

@@ -6,10 +6,12 @@ pieces engines do not exercise: attaching to a non-empty schedule,
 negative-cycle intervals, and probe non-mutation.
 """
 
+import random
+
 from repro.arch.configs import two_cluster_config
 from repro.core.comm import AddReader, CommPlan, NewTransfer
 from repro.core.lifetimes import cluster_pressures
-from repro.core.pressure import PressureTracker
+from repro.core.pressure import PressureTracker, _cover, _delta_pieces
 from repro.core.schedule import Communication, ModuloSchedule, ScheduledOp
 from repro.ir.ddg import DependenceGraph
 
@@ -93,3 +95,47 @@ class TestProbe:
         del s.ops[c]
         for cluster, pressure in touched.items():
             assert pressure == scratch[cluster]
+
+
+class TestHistogramDelta:
+    """Replacing an entry's interval adds only the signed pieces of
+    ``_delta_pieces``; their row coverage must equal new minus old."""
+
+    @staticmethod
+    def coverage(interval, ii, n_clusters=2):
+        """Per-cluster count of cycles in the interval at each MRT row."""
+        cov = [[0] * ii for _ in range(n_clusters)]
+        if interval is not None:
+            cluster, start, end = interval
+            for t in range(start, end):
+                cov[cluster][t % ii] += 1
+        return cov
+
+    def test_pieces_cover_new_minus_old(self):
+        rng = random.Random(5)
+        for _ in range(2000):
+            ii = rng.randint(1, 7)
+
+            def interval():
+                if rng.random() < 0.15:
+                    return None
+                start = rng.randint(-10, 10)
+                return (rng.randrange(2), start, start + rng.randint(1, 20))
+
+            old = interval()
+            if old is not None and rng.random() < 0.6:
+                # The common case: same register and start, the end moved.
+                new = (old[0], old[1], old[1] + rng.randint(1, 20))
+            else:
+                new = interval()
+            if old == new:
+                continue
+            rows = [[0] * ii for _ in range(2)]
+            for cluster, start, end, sign in _delta_pieces(old, new):
+                fulls = _cover(rows[cluster], start, end, sign, ii)
+                rows[cluster] = [r + sign * fulls for r in rows[cluster]]
+            before, after = self.coverage(old, ii), self.coverage(new, ii)
+            expected = [
+                [a - b for a, b in zip(after[c], before[c])] for c in range(2)
+            ]
+            assert rows == expected, (old, new, ii)
