@@ -24,13 +24,14 @@ the pressure histogram; lifetimes longer than II therefore count multiple
 times per row, which models the modulo variable expansion the hardware or
 unroller would need.
 
-The histogram accumulation is vectorised with NumPy: schedulers call this
-on every candidate placement, making it the hottest path in the package.
+The histogram is a plain difference array over the II rows: a few
+dozen intervals per schedule make interpreter-level integer arithmetic
+cheaper than building arrays for them.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from itertools import accumulate
 
 from ..ir.ddg import DependenceGraph
 from .schedule import Communication, ModuloSchedule
@@ -103,41 +104,24 @@ def cluster_pressures(
     """
     ii = schedule.ii
     n_clusters = schedule.config.n_clusters
-    intervals = _intervals(schedule, extra_comms)
-    if not intervals:
-        return {c: 0 for c in range(n_clusters)}
-
-    clusters = np.fromiter((iv[0] for iv in intervals), dtype=np.int64)
-    starts = np.fromiter((iv[1] for iv in intervals), dtype=np.int64)
-    ends = np.fromiter((iv[2] for iv in intervals), dtype=np.int64)
-    lengths = ends - starts
-    fulls = lengths // ii
-    rems = lengths - fulls * ii
-
-    result: dict[int, int] = {}
-    hist = np.zeros(ii, dtype=np.int64)
-    for c in range(n_clusters):
-        mask = clusters == c
-        if not mask.any():
-            result[c] = 0
-            continue
-        hist[:] = 0
-        base = int(fulls[mask].sum())  # whole-II wraps cover every row
-        # Partial remainders: rows (start .. start+rem-1) mod II.  Use the
-        # difference-array trick on the doubled range to stay vectorised.
-        s = np.mod(starts[mask], ii)
-        r = rems[mask]
-        nz = r > 0
-        if nz.any():
-            s = s[nz]
-            r = r[nz]
-            diff = np.zeros(2 * ii + 1, dtype=np.int64)
-            np.add.at(diff, s, 1)
-            np.add.at(diff, s + r, -1)
-            acc = np.cumsum(diff[:-1])
-            hist += acc[:ii] + acc[ii:]
-        result[c] = base + int(hist.max())
-    return result
+    # Whole-II wraps cover every row; a remainder covers rows
+    # start .. start+rem-1 (mod II), added to a per-cluster difference array.
+    base = [0] * n_clusters
+    diffs = [[0] * (ii + 1) for _ in range(n_clusters)]
+    for cluster, start, end in _intervals(schedule, extra_comms):
+        full, rem = divmod(end - start, ii)
+        base[cluster] += full
+        if rem:
+            diff = diffs[cluster]
+            first = start % ii
+            stop = first + rem
+            diff[first] += 1
+            if stop <= ii:
+                diff[stop] -= 1
+            else:  # wraps past the last row
+                diff[0] += 1
+                diff[stop - ii] -= 1
+    return {c: base[c] + max(accumulate(diffs[c][:ii])) for c in range(n_clusters)}
 
 
 def mve_factor(schedule: ModuloSchedule) -> int:

@@ -11,7 +11,9 @@ so repeated figures — and interrupted sweeps — skip scheduling entirely.
 Whole grids go through :meth:`ExperimentContext.run_grid`, which shards
 cache misses across worker processes (``jobs``) deterministically; the
 figure harnesses declare their grids up front and then reduce from the
-warm memo.
+warm memo.  A single point that misses the memo is a one-point grid, so
+every point is cached, counted and recorded by the same resolver
+(:func:`repro.runner.engine.run_sweep`).
 
 Fallback: a loop that cannot be modulo-scheduled under a configuration
 (e.g. register-pressure-impossible with no spill code) is charged a
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import Executor
+from collections import ChainMap
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -44,7 +46,6 @@ from ..runner.engine import (  # re-exported for backwards compatibility
     SCHEDULERS,
     SchedulerFactory,
     SweepStats,
-    execute_point,
     make_scheduler,
     run_sweep,
     sequential_fallback,
@@ -156,19 +157,15 @@ class ExperimentContext:
     fresh:
         When true, never *read* the on-disk cache (results are still
         written back) — the ``--fresh`` CLI semantic.
-    pool:
-        Optional long-lived executor injected into every
-        :meth:`run_grid` sweep (see
-        :func:`repro.runner.engine.execute_points`); the scheduling
-        service wires its shared worker pool in here so grid jobs reuse
-        warm workers instead of paying pool start-up per request.
     executor:
-        Optional replacement execution core passed to ``run_sweep`` as
-        its ``execute`` hook (same signature as
-        :func:`repro.runner.engine.execute_points`).  The distributed
-        fabric injects its coordinator's ``execute`` here, so a
-        ``sweep --distributed`` grid job runs on pull-based workers
-        while memoisation, caching and reducers stay unchanged.
+        Optional replacement executor passed to ``run_sweep`` as its
+        ``execute`` hook (same signature as
+        :func:`repro.runner.engine.execute_points`).  The scheduling
+        service injects ``functools.partial(execute_points, pool=...)``
+        so grid jobs reuse its warm workers, and the distributed
+        fabric its coordinator's ``execute``, so a ``sweep
+        --distributed`` grid job runs on pull-based workers while
+        memoisation, caching and reducers stay unchanged.
     memo:
         In-process map from scenario identity to the materialised
         :class:`ScheduledLoopResult` (stable object identity per point).
@@ -177,7 +174,8 @@ class ExperimentContext:
     fallbacks:
         Every scenario point that needed the list-schedule fallback.
     stats:
-        Accumulated :class:`SweepStats` over all work this context ran.
+        Accumulated :class:`SweepStats` over every point this context
+        resolved, one at a time or as a grid.
     recorder:
         Optional :class:`~repro.obs.report.RunRecorder`; when set,
         :meth:`run_grid` records one point record per grid point
@@ -189,7 +187,6 @@ class ExperimentContext:
     cache: ResultCache | None = None
     jobs: int = 1
     fresh: bool = False
-    pool: Executor | None = None
     executor: Callable[..., dict[str, PointResult]] | None = None
     memo: dict[str, ScheduledLoopResult] = field(default_factory=dict)
     sim_memo: dict[str, CrossCheck] = field(default_factory=dict)
@@ -200,7 +197,7 @@ class ExperimentContext:
     _fallback_keys: set[str] = field(default_factory=set)
 
     # ------------------------------------------------------------------
-    # Point-at-a-time API (reducers; also the serial fallback path)
+    # Point-at-a-time API (reducers): a memo lookup, else a one-point grid
     # ------------------------------------------------------------------
     def schedule_loop(
         self,
@@ -210,22 +207,11 @@ class ExperimentContext:
         policy: UnrollPolicy,
         rule: SelectiveRule = SelectiveRule.MII_UNROLLED,
     ) -> ScheduledLoopResult:
-        """Schedule one loop under one scenario (memo -> cache -> compute)."""
+        """Schedule one loop under one scenario (memo, else :meth:`run_grid`)."""
         point = scenario_for(loop, config, scheduler_name, policy, rule)
         key = point.canonical()
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        result = self._cache_get(point)
-        if result is not None:
-            self.stats.cached += 1
-        else:
-            result = execute_point(point, loop)
-            if self.cache is not None:
-                self.cache.put(point, result)
-            self.stats.executed += 1
-        self.stats.total += 1
-        self._absorb_schedule(point, result)
+        if key not in self.memo:
+            self.run_grid([(point, loop)], jobs=1)
         return self.memo[key]
 
     def crosscheck_loop(
@@ -245,25 +231,8 @@ class ExperimentContext:
             loop, config, scheduler_name, policy, rule, simulate=True
         )
         key = point.canonical()
-        hit = self.sim_memo.get(key)
-        if hit is not None:
-            return hit
-        result = self._cache_get(point)
-        if result is not None:
-            self.stats.cached += 1
-        else:
-            twin_key = point.without_simulation().canonical()
-            result = execute_point(
-                point,
-                loop,
-                prior=self.memo.get(twin_key),
-                prior_fallback=twin_key in self._fallback_keys,
-            )
-            if self.cache is not None:
-                self.cache.put(point, result)
-            self.stats.executed += 1
-        self.stats.total += 1
-        self._absorb_sim(point, result)
+        if key not in self.sim_memo:
+            self.run_grid([(point, loop)], jobs=1)
         return self.sim_memo[key]
 
     # ------------------------------------------------------------------
@@ -272,47 +241,38 @@ class ExperimentContext:
     def run_grid(
         self, items: list[GridItem], jobs: int | None = None
     ) -> SweepStats:
-        """Execute a declared grid, sharding misses over worker processes.
+        """Resolve a declared grid, sharding misses over worker processes.
 
-        Points already memoised in this context are skipped; the rest go
-        through :func:`repro.runner.engine.run_sweep` (cache first, then
-        deterministic parallel execution) and land in the memos, so the
-        figure reducers that follow are pure lookups.
+        Points already memoised in this context are counted and skipped;
+        the rest go through :func:`repro.runner.engine.run_sweep` (cache
+        first, then deterministic parallel execution) and land in the
+        memos, so the figure reducers that follow are pure lookups.
         """
         jobs = self.jobs if jobs is None else jobs
-        by_key: dict[str, GridItem] = {}
-        memo_hits: dict[str, GridItem] = {}
-        for point, loop in items:
-            memo = self.sim_memo if point.simulate else self.memo
-            key = point.canonical()
-            if key not in memo:
-                by_key.setdefault(key, (point, loop))
-            else:
-                memo_hits.setdefault(key, (point, loop))
+        points = {point.canonical(): point for point, _loop in items}
         if self.recorder is not None:
-            for key, (point, _loop) in memo_hits.items():
-                if point.simulate:
-                    continue  # the schedule-only twin is what the memo holds
-                self.recorder.record(
-                    point,
-                    PointResult.from_loop_result(
-                        self.memo[key], fallback=key in self._fallback_keys
-                    ),
-                    source="memo",
-                )
-        pending = list(by_key.values())
+            for key, point in points.items():
+                # A simulated hit's schedule-only twin is what the memo holds.
+                if not point.simulate and key in self.memo:
+                    self.recorder.record(
+                        point,
+                        PointResult.from_loop_result(
+                            self.memo[key], fallback=key in self._fallback_keys
+                        ),
+                        source="memo",
+                    )
         results, stats = run_sweep(
-            pending,
+            items,
             jobs=jobs,
             cache=self.cache,
             fresh=self.fresh,
-            pool=self.pool,
+            memo=ChainMap(self.memo, self.sim_memo),
             prior_lookup=self._known_schedule,
             recorder=self.recorder,
             execute=self.executor,
         )
         for key, result in results.items():
-            point, _loop = by_key[key]
+            point = points[key]
             if point.simulate:
                 self._absorb_sim(point, result)
             else:
@@ -321,12 +281,6 @@ class ExperimentContext:
         return stats
 
     # ------------------------------------------------------------------
-    def _cache_get(self, point: ScenarioPoint) -> PointResult | None:
-        """Disk-cache read honouring the context's ``fresh`` setting."""
-        if self.cache is None or self.fresh:
-            return None
-        return self.cache.get(point)
-
     def _known_schedule(
         self, point: ScenarioPoint
     ) -> tuple[ScheduledLoopResult, bool] | None:

@@ -577,7 +577,6 @@ class FabricCoordinator:
         misses: list[tuple[str, GridItem]],
         *,
         jobs: int = 1,
-        pool: Any = None,
         cache: ResultCache | None = None,
         prior_for: Callable[[ScenarioPoint], tuple[Any, bool]] | None = None,
         meta_out: dict[str, dict[str, Any]] | None = None,
@@ -586,8 +585,8 @@ class FabricCoordinator:
 
         Signature-compatible with
         :func:`~repro.runner.engine.execute_points` so it plugs into
-        ``run_sweep(execute=...)`` unchanged.  ``jobs`` and ``pool`` are
-        ignored — parallelism is however many workers are pulling.
+        ``run_sweep(execute=...)`` unchanged.  ``jobs`` is ignored —
+        parallelism is however many workers are pulling.
 
         Raises
         ------
@@ -595,7 +594,7 @@ class FabricCoordinator:
             When ``sweep_timeout_s`` elapses or the coordinator is
             closed with the sweep incomplete.
         """
-        del jobs, pool
+        del jobs
         if not misses:
             return {}
         sweep = self._register_sweep(misses, cache=cache, prior_for=prior_for)

@@ -12,8 +12,9 @@ package decomposes such sweeps into hashable, self-describing
   (key = scenario hash + code version) so interrupted sweeps resume for
   free and repeated figures skip scheduling entirely;
 * :mod:`repro.runner.engine` — point execution, the scheduler registry,
-  and :func:`~repro.runner.engine.run_sweep`: deterministic sharding of
-  cache misses across a ``ProcessPoolExecutor``;
+  and :func:`~repro.runner.engine.run_sweep`, the one resolver from
+  points to results (memo, cache, deterministic sharding of the misses
+  across a ``ProcessPoolExecutor``, counting);
 * :mod:`repro.runner.grids` — the named-grid registry behind the
   ``repro-vliw sweep`` command.
 

@@ -1,4 +1,4 @@
-"""Scenario execution and the parallel sweep engine.
+"""Scenario execution and the one point resolver.
 
 :func:`execute_point` runs one :class:`ScenarioPoint` to a
 :class:`PointResult` — schedule under the point's unrolling policy
@@ -6,22 +6,23 @@
 impossible), then optionally execute it on the cycle-accurate simulator
 and diff against the analytic model.
 
-:func:`run_sweep` executes a whole grid: it serves every point it can
-from the on-disk cache, shards the misses **deterministically** (by
-content hash, so the work distribution is a pure function of the grid,
-not of timing) across a ``ProcessPoolExecutor``, and persists each
-result as it completes.  Because scheduling is deterministic per point
-and results are keyed by content, a sweep's output is byte-identical at
-``--jobs 1`` and ``--jobs N``, and a killed sweep resumes from whatever
-the cache already holds.
+:func:`run_sweep` is the only path from points to results.  It dedupes
+the points, skips those the caller already holds (its in-process memo),
+serves what it can from the on-disk cache, reuses a simulated point's
+schedule-only twin, executes the misses, persists them and counts every
+point in one :class:`SweepStats`.  The experiment context (one point or a
+whole grid) and the scheduling service's batches both call it; they
+differ only in the executor they hand in.  Because scheduling is
+deterministic per point and results are keyed by content, a sweep's
+output is byte-identical at ``--jobs 1`` and ``--jobs N``, and a killed
+sweep resumes from whatever the cache already holds.
 
-:func:`execute_points` is the execution core underneath
-:func:`run_sweep`: it takes an already-deduplicated list of cache
-misses and runs them — in-process, on an ephemeral pool, or on an
-**injected long-lived executor**.  Long-lived front ends
-(:mod:`repro.service`) call it directly with a shared
-``ProcessPoolExecutor`` so concurrent clients amortise worker start-up
-across requests instead of paying pool creation per sweep.
+:func:`execute_points` is the default executor: it takes an
+already-deduplicated list of misses and runs them in-process, on an
+ephemeral pool (sharded **deterministically** by content hash), or on an
+**injected long-lived executor** — e.g.
+``functools.partial(execute_points, pool=...)``, which is how the
+service's warm worker pool plugs in.
 
 The scheduler registry (:data:`SCHEDULERS`, :func:`make_scheduler`) and
 the list-schedule fallback live here so both the engine's workers and
@@ -37,7 +38,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing import get_context
 from time import perf_counter
-from typing import Any, Callable
+from typing import Any, Callable, Container
 
 from ..arch.cluster import MachineConfig
 from ..core.base import SchedulerBase
@@ -221,6 +222,27 @@ def store_result(
             )
 
 
+def _execute_one(
+    point: ScenarioPoint,
+    loop: Loop,
+    prior: ScheduledLoopResult | None,
+    prior_fallback: bool,
+    cache: ResultCache | None,
+) -> tuple[PointResult, dict[str, Any]]:
+    """Execute, time and persist one point (serial and worker paths).
+
+    Returns the result and its metadata: ``{"wall_s": ...}``, the
+    execution wall time without the cache write.
+    """
+    t0 = perf_counter()
+    with TRACER.span("runner.execute_point", point=point.describe()):
+        result = execute_point(point, loop, prior=prior, prior_fallback=prior_fallback)
+    meta: dict[str, Any] = {"wall_s": perf_counter() - t0}
+    if cache is not None:
+        store_result(cache, point, result)
+    return result, meta
+
+
 # ---------------------------------------------------------------------------
 # Worker plumbing (must stay module-level: pickled across processes)
 # ---------------------------------------------------------------------------
@@ -251,21 +273,12 @@ def _run_batch(
         for item in batch:
             point = ScenarioPoint(**item["point"])
             loop = loop_from_dict(item["loop"])
-            prior_payload = item.get("prior")
-            prior = prior_fallback = None
-            if prior_payload is not None:
-                prior_result = PointResult.from_dict(prior_payload)
+            prior, prior_fallback = None, False
+            if item.get("prior") is not None:
+                prior_result = PointResult.from_dict(item["prior"])
                 prior = prior_result.loop_result()
                 prior_fallback = prior_result.fallback
-            t0 = perf_counter()
-            with TRACER.span("runner.execute_point", point=point.describe()):
-                result = execute_point(
-                    point, loop, prior=prior, prior_fallback=bool(prior_fallback)
-                )
-            wall = perf_counter() - t0
-            if cache is not None:
-                store_result(cache, point, result)
-            meta: dict[str, Any] = {"wall_s": wall}
+            result, meta = _execute_one(point, loop, prior, prior_fallback, cache)
             if TRACER.enabled:
                 meta["spans"] = [span.to_dict() for span in TRACER.drain()]
             out.append((point.canonical(), result.to_dict(), meta))
@@ -289,7 +302,7 @@ def _shard(
 
 
 # ---------------------------------------------------------------------------
-# The execution core (shared by one-shot sweeps and the service)
+# The default executor
 # ---------------------------------------------------------------------------
 def make_worker_pool(workers: int) -> ProcessPoolExecutor:
     """A spawn-context process pool suitable for :func:`execute_points`.
@@ -317,9 +330,9 @@ def execute_points(
 ) -> dict[str, PointResult]:
     """Execute already-deduplicated cache misses and return their results.
 
-    This is the execution core shared by :func:`run_sweep` (which owns
-    cache probing and stats) and the batch scheduling service (which
-    owns its own dedupe/queueing).  Three execution strategies:
+    This is :func:`run_sweep`'s default executor; the resolver owns
+    dedupe, cache probing and counting, this only runs the misses.  Three
+    execution strategies:
 
     * ``pool`` given — shard across the **injected** executor; the pool
       is *not* shut down, so a long-lived caller reuses warm workers;
@@ -365,17 +378,9 @@ def execute_points(
 
     if pool is None and jobs <= 1:
         for key, (point, loop) in misses:
-            prior, prior_fb = _prior(point)
-            t0 = perf_counter()
-            with TRACER.span("runner.execute_point", point=point.describe()):
-                result = execute_point(
-                    point, loop, prior=prior, prior_fallback=prior_fb
-                )
+            results[key], meta = _execute_one(point, loop, *_prior(point), cache)
             if meta_out is not None:
-                meta_out[key] = {"wall_s": perf_counter() - t0}
-            if cache is not None:
-                store_result(cache, point, result)
-            results[key] = result
+                meta_out[key] = meta
         return results
 
     shards = _shard(misses, max(1, jobs))
@@ -420,13 +425,14 @@ def execute_points(
 
 
 # ---------------------------------------------------------------------------
-# The sweep driver
+# The resolver
 # ---------------------------------------------------------------------------
 @dataclass
 class SweepStats:
-    """Accounting for one :func:`run_sweep` call."""
+    """Point accounting for :func:`run_sweep` — and, merged, for an
+    experiment context or a scheduling service."""
 
-    #: Distinct scenario points in the grid (duplicates collapse).
+    #: Distinct points resolved past the memo (cached + executed + failed).
     total: int = 0
     #: Points served from the on-disk cache.
     cached: int = 0
@@ -436,6 +442,12 @@ class SweepStats:
     fallbacks: int = 0
     #: Worker processes used (1 = in-process serial execution).
     jobs: int = 1
+    #: Distinct points the caller's in-process memo already held.
+    memo: int = 0
+    #: Misses the executor returned no result for.
+    failed: int = 0
+    #: Requested points collapsed onto an identical point of the same call.
+    deduped: int = 0
 
     def merge(self, other: "SweepStats") -> None:
         """Accumulate another run's counters into this one."""
@@ -443,6 +455,9 @@ class SweepStats:
         self.cached += other.cached
         self.executed += other.executed
         self.fallbacks += other.fallbacks
+        self.memo += other.memo
+        self.failed += other.failed
+        self.deduped += other.deduped
         self.jobs = max(self.jobs, other.jobs)
 
     def render(self) -> str:
@@ -460,7 +475,7 @@ def run_sweep(
     jobs: int = 1,
     cache: ResultCache | None = None,
     fresh: bool = False,
-    pool: Executor | None = None,
+    memo: Container[str] | None = None,
     prior_lookup: Callable[
         [ScenarioPoint], tuple[ScheduledLoopResult, bool] | None
     ]
@@ -468,13 +483,13 @@ def run_sweep(
     recorder: RunRecorder | None = None,
     execute: Callable[..., dict[str, PointResult]] | None = None,
 ) -> tuple[dict[str, PointResult], SweepStats]:
-    """Execute a grid of scenario points, in parallel, through the cache.
+    """Resolve scenario points to results: dedupe, memo, cache, execute.
 
     Parameters
     ----------
     items:
-        The declared grid; duplicate points (same canonical identity)
-        are executed once.
+        The requested points; duplicates (same canonical identity) are
+        resolved once and counted in ``stats.deduped``.
     jobs:
         Worker processes.  ``1`` executes in-process (no pool, easier
         debugging, identical results).
@@ -482,10 +497,9 @@ def run_sweep(
         Shared on-disk cache; ``None`` disables persistence.
     fresh:
         Ignore cached entries (results are still written back).
-    pool:
-        Optional long-lived executor for the misses (see
-        :func:`execute_points`); when given, ``jobs`` only sets the
-        shard width and no pool is created or shut down here.
+    memo:
+        Canonical keys the caller already holds in memory.  They are
+        counted in ``stats.memo`` and left out of the results.
     prior_lookup:
         Optional hook returning ``(schedule, was_fallback)`` for a
         point's schedule-only twin (see
@@ -499,40 +513,46 @@ def run_sweep(
         times).  Recording is out-of-band: results, stats and cache
         contents are identical with or without it.
     execute:
-        Optional replacement for :func:`execute_points` with the same
-        signature — this is how the distributed fabric plugs in (its
-        coordinator's ``execute`` farms the misses out to pull-based
-        workers instead of local processes).  Cache probing, dedupe,
-        stats and recording stay here, so swapping the executor cannot
+        Replacement for :func:`execute_points`, called as
+        ``execute(misses, jobs=, cache=, prior_for=, meta_out=)``.  This
+        is where the service's warm pool and failure isolation and the
+        distributed fabric's coordinator plug in.  A miss it returns no
+        result for counts as ``failed``.  Swapping the executor cannot
         change what a sweep returns — only where the work ran.
 
     Returns
     -------
     (results, stats):
-        *results* maps ``point.canonical()`` to :class:`PointResult`;
-        *stats* says how much work was actually done — ``stats.executed
-        == 0`` means the whole grid was served from cache.
+        *results* maps ``point.canonical()`` to :class:`PointResult` for
+        every point served from disk or executed; *stats* says how much
+        work was actually done — ``stats.executed == 0`` means nothing
+        was scheduled.
     """
     unique: dict[str, GridItem] = {}
     for point, loop in items:
         unique.setdefault(point.canonical(), (point, loop))
 
     results: dict[str, PointResult] = {}
-    stats = SweepStats(total=len(unique), jobs=max(1, jobs))
+    stats = SweepStats(jobs=max(1, jobs), deduped=len(items) - len(unique))
 
     ctx = TRACER.current_context()
     trace_id = ctx.trace_id if ctx is not None else None
 
+    probe = cache is not None and not fresh
     misses: list[tuple[str, GridItem]] = []
     for key, (point, loop) in unique.items():
-        cached = cache.get(point) if (cache is not None and not fresh) else None
-        if cached is not None:
-            results[key] = cached
-            stats.cached += 1
-            if recorder is not None:
-                recorder.record(point, cached, source="disk", trace_id=trace_id)
-        else:
+        if memo is not None and key in memo:
+            stats.memo += 1
+            continue
+        cached = cache.get(point) if probe else None
+        if cached is None:
             misses.append((key, (point, loop)))
+            continue
+        results[key] = cached
+        stats.cached += 1
+        if recorder is not None:
+            recorder.record(point, cached, source="disk", trace_id=trace_id)
+    stats.total = stats.cached + len(misses)
 
     if not misses:
         return results, stats
@@ -546,7 +566,7 @@ def run_sweep(
             known = prior_lookup(twin)
             if known is not None:
                 return known
-        if cache is not None and not fresh:
+        if probe:
             cached_twin = cache.get(twin)
             if cached_twin is not None:
                 return cached_twin.loop_result(), cached_twin.fallback
@@ -560,11 +580,11 @@ def run_sweep(
     executed = runner(
         misses,
         jobs=jobs,
-        pool=pool,
         cache=cache,
         prior_for=_prior_for,
         meta_out=meta_out,
     )
+    stats.failed = len(misses) - len(executed)
     for key, result in executed.items():
         results[key] = result
         stats.executed += 1

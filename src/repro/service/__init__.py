@@ -6,9 +6,10 @@ JSON-over-HTTP API:
 
 * :mod:`repro.service.core` — validated :class:`ScheduleRequest` work
   units, :class:`Job` lifecycle, and :class:`SchedulingService`: a
-  dispatcher thread that coalesces queued jobs into batches, dedupes
-  them against the in-process memo and the content-addressed
-  :class:`~repro.runner.cache.ResultCache`, and fans misses out to one
+  dispatcher thread that coalesces queued jobs into batches and
+  resolves them with :func:`repro.runner.engine.run_sweep` against the
+  in-process memo and the content-addressed
+  :class:`~repro.runner.cache.ResultCache`, fanning misses out to one
   shared spawn-context worker pool
   (:func:`repro.runner.engine.execute_points`);
 * :mod:`repro.service.server` — the stdlib ``ThreadingHTTPServer``

@@ -14,11 +14,13 @@ and it is equally usable embedded (tests, benchmarks, notebooks):
   ``queued -> running -> done | failed | cancelled``.
 * :class:`SchedulingService` — the long-lived engine.  A single
   dispatcher thread drains the job queue, **coalesces every queued job
-  into one batch**, dedupes the batch's scenario points against an
-  in-process memo and the content-addressed on-disk
-  :class:`~repro.runner.cache.ResultCache`, and fans the misses out to
-  one shared spawn-context ``ProcessPoolExecutor`` via
-  :func:`repro.runner.engine.execute_points`.  Concurrent clients thus
+  into one batch** and resolves the batch's scenario points with
+  :func:`repro.runner.engine.run_sweep` — the same resolver the CLI
+  sweeps use — against an in-process payload memo and the
+  content-addressed on-disk :class:`~repro.runner.cache.ResultCache`.
+  The misses fan out to one shared spawn-context
+  ``ProcessPoolExecutor`` through the executor the service hands in,
+  which also isolates failures per point.  Concurrent clients thus
   reuse warm workers and warm caches instead of paying pool start-up
   and re-scheduling per request.
 
@@ -30,6 +32,7 @@ without touching disk), on-disk cache (shared with the CLI sweeps — a
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import queue
@@ -45,7 +48,14 @@ from ..errors import ParseError, ServiceError, WorkloadError
 from ..fabric.coordinator import FabricCoordinator
 from ..obs.metrics import MetricsRegistry
 from ..runner.cache import ResultCache
-from ..runner.engine import SCHEDULERS, execute_point, execute_points, make_worker_pool
+from ..runner.engine import (
+    SCHEDULERS,
+    SweepStats,
+    execute_point,
+    execute_points,
+    make_worker_pool,
+    run_sweep,
+)
 from ..runner.grids import GRIDS
 from ..ir.frontend import parse_program
 from ..ir.loop import Loop
@@ -467,17 +477,14 @@ class SchedulingService:
         self._stopping = False
         self._closed = threading.Event()
 
-        # Counters (under _lock).  These plain ints are the single source
-        # of truth; the metrics registry below exposes them through
-        # callback-backed instruments, so ``/stats`` and ``/metrics``
-        # read the same state and cannot drift.
+        # Counters (under _lock).  ``_points`` merges the resolver's own
+        # SweepStats of every batch and grid job; the metrics registry
+        # below exposes these fields through callback-backed
+        # instruments, so ``/stats`` and ``/metrics`` read the same state
+        # and cannot drift.
         self._requests_total = 0
-        self._points_executed = 0
-        self._points_memo = 0
-        self._points_disk = 0
-        self._points_failed = 0
-        self._points_deduped = 0
         self._batches = 0
+        self._points = SweepStats()
 
         #: Per-service metrics registry (instance-owned, not process
         #: global, so embedded services and tests never share state).
@@ -519,27 +526,27 @@ class SchedulingService:
         self.metrics.counter(
             "repro_points_executed_total",
             "Scenario points actually scheduled/simulated",
-            callback=lambda: self._points_executed,
+            callback=lambda: self._points.executed,
         )
         self.metrics.counter(
             "repro_points_memo_hits_total",
             "Scenario points served from the in-process memo",
-            callback=lambda: self._points_memo,
+            callback=lambda: self._points.memo,
         )
         self.metrics.counter(
             "repro_points_disk_hits_total",
             "Scenario points served from the on-disk result cache",
-            callback=lambda: self._points_disk,
+            callback=lambda: self._points.cached,
         )
         self.metrics.counter(
             "repro_points_failed_total",
             "Scenario points that raised during execution",
-            callback=lambda: self._points_failed,
+            callback=lambda: self._points.failed,
         )
         self.metrics.counter(
             "repro_points_deduped_total",
             "Requested points collapsed by in-batch dedupe",
-            callback=lambda: self._points_deduped,
+            callback=lambda: self._points.deduped,
         )
         self.metrics.gauge(
             "repro_queue_depth",
@@ -701,14 +708,17 @@ class SchedulingService:
         ``hit_rate`` is the ratio ``cached / (cached + executed)`` over
         distinct points; the ``counters`` block breaks the cached side
         into its explicit sources (memo vs disk) plus the failed and
-        in-batch-deduped totals — the same fields ``/metrics`` exports.
+        deduped totals — the same fields ``/metrics`` exports.  Point
+        batches and grid jobs count alike: each merges the
+        :class:`~repro.runner.engine.SweepStats` of its resolution.
         """
         with self._lock:
             by_status: dict[str, int] = {}
             for job in self._jobs.values():
                 by_status[job.status] = by_status.get(job.status, 0) + 1
-            points_cached = self._points_memo + self._points_disk
-            points_total = self._points_executed + points_cached
+            points = self._points
+            points_cached = points.memo + points.cached
+            points_total = points.executed + points_cached
             doc = {
                 "uptime_s": time.time() - self.started_unix,
                 "workers": self.workers,
@@ -717,17 +727,17 @@ class SchedulingService:
                 "jobs": by_status,
                 "requests_total": self._requests_total,
                 "batches": self._batches,
-                "points_executed": self._points_executed,
+                "points_executed": points.executed,
                 "points_cached": points_cached,
                 "hit_rate": (
                     points_cached / points_total if points_total else 0.0
                 ),
                 "counters": {
-                    "executed": self._points_executed,
-                    "memo_hits": self._points_memo,
-                    "disk_hits": self._points_disk,
-                    "failed": self._points_failed,
-                    "deduped": self._points_deduped,
+                    "executed": points.executed,
+                    "memo_hits": points.memo,
+                    "disk_hits": points.cached,
+                    "failed": points.failed,
+                    "deduped": points.deduped,
                 },
                 "memo_entries": len(self._memo),
             }
@@ -861,78 +871,41 @@ class SchedulingService:
             job.status = "running"
             job.started_unix = now
 
-        # Dedupe the whole batch down to distinct scenario points.
-        unique: dict[str, GridItem] = {}
+        items: list[GridItem] = []
+        points: dict[str, ScenarioPoint] = {}
         order: list[tuple[Job, list[str]]] = []
-        requested = 0
         for job in jobs:
             keys = []
             for request in job.requests:
                 point, loop = request.grid_item()
                 key = point.canonical()
-                unique.setdefault(key, (point, loop))
+                items.append((point, loop))
+                points.setdefault(key, point)
                 keys.append(key)
-                requested += 1
             order.append((job, keys))
 
-        # Serve what we can from the memo and the on-disk cache.
-        payloads: dict[str, dict[str, Any]] = {}
-        cached_keys: set[str] = set()
-        memo_hits = 0
-        disk_hits = 0
-        misses: list[tuple[str, GridItem]] = []
-        for key, (point, loop) in unique.items():
-            hit = self._memo.get(key)
-            if hit is not None:
-                memo_hits += 1
-            elif self.cache is not None:
-                result = self.cache.get(point)
-                if result is not None:
-                    hit = result_payload(point, result)
-                    self._memo_put(key, hit)
-                    disk_hits += 1
-            if hit is not None:
-                payloads[key] = hit
-                cached_keys.add(key)
-            else:
-                misses.append((key, (point, loop)))
-
-        # Fan the misses out to the shared worker pool.  A failure is
-        # isolated per point: one bad scenario must not fail unrelated
-        # concurrent clients coalesced into the same batch.
         failed: dict[str, str] = {}
-        if misses:
-            pool = self._ensure_pool() if len(misses) > 1 else None
-            width = min(self.workers, len(misses)) if pool is not None else 1
-            try:
-                executed = execute_points(
-                    misses, jobs=width, pool=pool, cache=self.cache
-                )
-            except Exception as exc:  # noqa: BLE001 - degrade per point
-                self._discard_pool_if_broken(exc)
-                executed = {}
-                for item in misses:
-                    try:
-                        executed.update(
-                            execute_points([item], jobs=1, cache=self.cache)
-                        )
-                    except Exception as point_exc:  # noqa: BLE001
-                        failed[item[0]] = (
-                            f"{type(point_exc).__name__}: {point_exc}"
-                        )
-            for key, result in executed.items():
-                point, _loop = unique[key]
-                payload = result_payload(point, result)
-                payloads[key] = payload
-                self._memo_put(key, payload)
+        ran: set[str] = set()
+        resolved, stats = run_sweep(
+            items,
+            cache=self.cache,
+            memo=self._memo,
+            execute=functools.partial(self._execute_isolated, failed, ran),
+        )
+        # Take the memo hits before new payloads can reset the memo.
+        payloads = {
+            key: self._memo[key]
+            for key in points
+            if key not in resolved and key not in failed
+        }
+        for key, result in resolved.items():
+            payload = result_payload(points[key], result)
+            payloads[key] = payload
+            self._memo_put(key, payload)
 
         with self._lock:
             self._batches += 1
-            self._points_executed += len(misses) - len(failed)
-            self._points_memo += memo_hits
-            self._points_disk += disk_hits
-            self._points_failed += len(failed)
-            self._points_deduped += requested - len(unique)
+            self._points.merge(stats)
         self._batch_seconds.observe(time.perf_counter() - batch_t0)
 
         # Hand every job its per-request results, in request order.
@@ -944,50 +917,67 @@ class SchedulingService:
                 continue
             results = []
             for key in keys:
-                cached = key in cached_keys or key in seen
+                cached = key not in ran or key in seen
                 seen.add(key)
                 results.append(dict(payloads[key], cached=cached))
             job.results = results
             job._finish("done")
 
+    def _execute_isolated(
+        self,
+        failed: dict[str, str],
+        ran: set[str],
+        misses: list[tuple[str, GridItem]],
+        *,
+        jobs: int = 1,
+        **kwargs: Any,
+    ) -> dict[str, PointResult]:
+        """The point batches' executor: the shared pool, isolated per point.
+
+        *ran* collects every key handed in.  A failure is isolated per
+        point: one bad scenario must not fail unrelated concurrent
+        clients coalesced into the same batch, so after a batch-wide
+        failure each miss is retried alone and the ones that still raise
+        land in *failed* (the resolver counts them).
+        """
+        del jobs  # the width follows the batch and the pool
+        ran.update(key for key, _item in misses)
+        pool = self._ensure_pool() if len(misses) > 1 else None
+        width = min(self.workers, len(misses)) if pool is not None else 1
+        try:
+            return execute_points(misses, jobs=width, pool=pool, **kwargs)
+        except Exception as exc:  # noqa: BLE001 - degrade per point
+            self._discard_pool_if_broken(exc)
+        executed: dict[str, PointResult] = {}
+        for item in misses:
+            try:
+                executed.update(execute_points([item], **kwargs))
+            except Exception as exc:  # noqa: BLE001
+                failed[item[0]] = f"{type(exc).__name__}: {exc}"
+        return executed
+
     def _run_grid_job(self, job: Job) -> None:
-        """Execute one named experiment grid through the shared pool."""
+        """Execute one named experiment grid through the shared pool.
+
+        A distributed job's misses go to the fabric's pull-based workers
+        (parallelism = however many workers pull).  A ``workers=0``
+        service executes in-process by contract: a client asking for
+        ``jobs > 1`` must not force an ephemeral pool into being.
+        """
         from ..experiments.common import ExperimentContext
 
         job.status = "running"
         job.started_unix = time.time()
-        if job.distributed:
-            # Misses go to the fabric's pull-based workers; jobs/pool
-            # are irrelevant (parallelism = however many workers pull).
-            ctx = ExperimentContext(
-                cache=self.cache, jobs=1, executor=self.fabric.execute
-            )
-            spec = GRIDS[job.grid]
-            job.output = spec.run(ctx, job.quick)
-            with self._lock:
-                self._batches += 1
-                self._points_executed += ctx.stats.executed
-                self._points_disk += ctx.stats.cached
-            job._finish("done")
-            return
-        # A workers=0 service executes in-process by contract: a client
-        # asking for jobs>1 must not force an ephemeral pool into being.
-        if self.workers <= 0:
+        if job.distributed or self.workers <= 0:
             width = 1
         else:
             width = job.jobs if job.jobs is not None else self.workers
-        ctx = ExperimentContext(
-            cache=self.cache,
-            jobs=width,
-            pool=self._ensure_pool() if width > 1 else None,
-        )
-        spec = GRIDS[job.grid]
-        job.output = spec.run(ctx, job.quick)
+        executor = self.fabric.execute if job.distributed else None
+        if width > 1:
+            executor = functools.partial(execute_points, pool=self._ensure_pool())
+        ctx = ExperimentContext(cache=self.cache, jobs=width, executor=executor)
+        job.output = GRIDS[job.grid].run(ctx, job.quick)
         with self._lock:
             self._batches += 1
-            self._points_executed += ctx.stats.executed
-            # Grid cache hits come from run_sweep's disk probe.
-            self._points_disk += ctx.stats.cached
+            self._points.merge(ctx.stats)
         job._finish("done")
-
-

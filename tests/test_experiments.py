@@ -94,6 +94,8 @@ class TestFallback:
         starved = MachineConfig("starved", 1, FuSet(1, 1, 1), 1, BusSpec(0, 1))
         perf = ctx.program_ipc(prog, starved, "bsa", UnrollPolicy.NONE)
         assert len(ctx.fallbacks) == 1
+        # the point API counts it like a grid would
+        assert ctx.stats.fallbacks == len(ctx.fallbacks) == 1
         assert perf.ipc > 0  # still produces a (pessimistic) number
 
 

@@ -13,6 +13,7 @@ Covers the acceptance criteria of the runner work:
 
 from __future__ import annotations
 
+import functools
 import json
 import multiprocessing
 import threading
@@ -343,7 +344,12 @@ class TestExecutePoints:
         baseline, _ = run_sweep(items)
         pool = make_worker_pool(2)
         try:
-            pooled, stats = run_sweep(items, jobs=2, pool=pool, cache=cache)
+            pooled, stats = run_sweep(
+                items,
+                jobs=2,
+                cache=cache,
+                execute=functools.partial(execute_points, pool=pool),
+            )
             assert stats.executed == len(items)
             assert baseline.keys() == pooled.keys()
             for key in baseline:
@@ -457,6 +463,18 @@ class TestContextIntegration:
         later = ExperimentContext(suite=small_suite(), cache=cache)
         run_fig8(later, **FIG8_DIMS)
         assert later.stats.executed == 0
+
+    def test_point_crosscheck_writes_schedule_twin(self, cache):
+        """The point API persists a simulated point's schedule-only twin,
+        as a grid does, so a later schedule_loop is a disk hit."""
+        loop = kernel_loop("daxpy")
+        cfg = two_cluster_config()
+        ctx = ExperimentContext(suite=[], cache=cache)
+        ctx.crosscheck_loop(loop, cfg, "bsa", UnrollPolicy.NONE)
+        assert cache.writes == 2
+        fresh = ExperimentContext(suite=[], cache=cache)
+        fresh.schedule_loop(loop, cfg, "bsa", UnrollPolicy.NONE)
+        assert fresh.stats.cached == 1 and fresh.stats.executed == 0
 
     def test_selective_rules_cache_separately(self, cache):
         ctx = small_ctx(cache=cache)
